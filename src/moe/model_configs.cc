@@ -72,15 +72,23 @@ std::vector<MoeModelConfig> PaperModels() {
   return models;
 }
 
-const MoeModelConfig& ModelByName(const std::string& name) {
+const MoeModelConfig* FindModelByName(const std::string& name) {
   static const std::vector<MoeModelConfig> models = PaperModels();
   for (const auto& m : models) {
     if (m.name == name) {
-      return m;
+      return &m;
     }
   }
-  std::cerr << "unknown model: " << name << "\n";
-  std::abort();
+  return nullptr;
+}
+
+const MoeModelConfig& ModelByName(const std::string& name) {
+  const MoeModelConfig* model = FindModelByName(name);
+  if (model == nullptr) {
+    std::cerr << "unknown model: " << name << "\n";
+    std::abort();
+  }
+  return *model;
 }
 
 }  // namespace samoyeds

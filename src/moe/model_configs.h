@@ -42,6 +42,10 @@ struct MoeModelConfig {
 // The six models of Table 2, in paper order.
 std::vector<MoeModelConfig> PaperModels();
 
+// Lookup by name in a process-lifetime copy of PaperModels(); nullptr on
+// unknown names.
+const MoeModelConfig* FindModelByName(const std::string& name);
+
 // Lookup by name; aborts on unknown names (programming error).
 const MoeModelConfig& ModelByName(const std::string& name);
 

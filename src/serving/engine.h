@@ -167,21 +167,6 @@ struct EngineConfig {
   // scalar, is the bit-exact oracle path every serving bit-identity
   // invariant is stated against.
   KernelBackend kernel_backend = KernelBackend::kScalar;
-  // Overlapped execution (the ROADMAP's "decode/prefill/all-to-all
-  // pipelining"): when a step carries both resident decode rows and a
-  // prefill chunk, the two sub-batches execute concurrently (decode on the
-  // expert pool, the prefill chunk inline on a helper thread), and the
-  // analytic step estimate overlaps decode compute with prefill compute and
-  // hides the all-to-all under compute at `overlap_efficiency`. Outputs stay
-  // bit-identical to the serial schedule (per-row outputs are independent of
-  // batch composition under top-k routing — the same property chunked
-  // prefill and preemption recompute rely on); execution overlap is
-  // therefore suppressed under expert-choice routing, where only the
-  // modeled all-to-all/compute overlap applies. The serial analytic fields
-  // (est_compute_ms, est_alltoall_ms) are unchanged by overlap; the savings
-  // land in StepMetrics::est_overlap_saved_ms.
-  bool overlap = false;
-  double overlap_efficiency = 0.85;
   SchedulerConfig scheduler;
 };
 
@@ -399,20 +384,18 @@ class ServingEngine {
   // row (no-op without a callback); `finished` tags the terminal delta.
   void StreamToCallback(int64_t id, bool finished);
 
-  // One forward pass's analytic-accounting state. A value per concurrent
-  // forward (the overlap path runs a decode and a prefill sub-batch on two
-  // threads) instead of engine members, so the two passes never race; the
-  // step folds them into the serial per-shard totals afterwards.
+  // One step's analytic-accounting state plus the forward's persistent
+  // scratch. ForwardBatch resets it at entry and accumulates the per-shard
+  // MoE estimates layer by layer; Step() reads the totals afterwards.
   struct StepAccounting {
-    std::vector<double> shard_ms;     // per logical shard, this pass
+    std::vector<double> shard_ms;     // per logical shard, this step
     std::vector<int64_t> shard_tokens;
     double alltoall_ms = 0.0;
     double account_ms = 0.0;  // host time the accounting itself consumed
     TrafficReport traffic;
     AllToAllScratch a2a_scratch;
-    // Persistent forward scratch (steady-state passes stay allocation-quiet).
-    ParallelMoeWorkspace pool_ws;  // pool-executed passes
-    MoeWorkspace inline_ws;        // inline (helper-thread) passes
+    // Persistent forward scratch (steady-state steps stay allocation-quiet).
+    ParallelMoeWorkspace pool_ws;
     MatrixF moe_out;
 
     void Reset(int num_shards) {
@@ -424,12 +407,9 @@ class ServingEngine {
     }
   };
 
-  // Forwards the assembled batch through all layers; returns final hidden
-  // rows. `inline_exec` keeps every stage (attention slices, expert SSMMs)
-  // on the calling thread — the overlap path's prefill pass, which must not
-  // touch the expert pool while the decode pass owns it. Analytic estimates
-  // accumulate into `acct`.
-  MatrixF ForwardBatch(const AssembledBatch& batch, StepAccounting& acct, bool inline_exec);
+  // Forwards the assembled batch through all layers on the expert pool;
+  // returns final hidden rows. Analytic estimates accumulate into `acct`.
+  MatrixF ForwardBatch(const AssembledBatch& batch, StepAccounting& acct);
   // Resolves (and caches) the tuned SSMM tile config for one layer's expert
   // shape under this plan's batch shape; records simulated default-vs-tuned
   // time in the metrics and returns the config the analytic estimate runs
@@ -485,22 +465,17 @@ class ServingEngine {
   ExpertShardPlan shard_plan_;
   ExpertPool pool_;
   EngineMetrics metrics_;
-  // Per-pass analytic-estimate accumulators + forward scratch (see
-  // StepAccounting). acct_ serves every pool-executed pass (the whole batch
-  // serially, or the decode sub-batch under overlap); prefill_acct_ serves
-  // the overlap path's inline prefill pass on the helper thread. Both reset
-  // at pass entry; Step() folds them into the serial per-shard totals —
+  // Analytic-estimate accumulators + forward scratch (see StepAccounting).
   // account_ms is host time spent on the accounting itself, deducted from
   // the measured forward wall-clock so analytic bookkeeping never
   // contaminates the throughput metrics.
   StepAccounting acct_;
-  StepAccounting prefill_acct_;
   // Tuned SSMM config per (expert rows, expert cols, batch rows, max tokens
   // per expert, kernel backend) — the expert shape participates so
   // heterogeneous layers never share entries, and the backend participates
   // because lane padding gives each backend its own tile ranking. Guarded by
-  // autotune_mu_: under overlap the decode and prefill passes resolve tile
-  // configs concurrently.
+  // autotune_mu_: the driver thread fills it inside Step() while client
+  // threads may read autotune_cache_size() concurrently.
   std::map<std::array<int64_t, 5>, AutotuneResult> autotune_cache_;
   mutable std::mutex autotune_mu_;
   // The backend actually installed (kAuto resolved, fallbacks applied).

@@ -114,6 +114,21 @@ TEST(CliTest, KernelBackendFlagIsStrictlyParsed) {
       << auto_backend.output;
 }
 
+TEST(CliTest, ServeResolvesPaperModelNames) {
+  REQUIRE_CLI();
+  // A Table 2 name supplies routing structure as defaults; the looked-up
+  // config must outlive the lookup.
+  const CliResult paper = RunCli("serve Qwen2-MoE synthetic:4");
+  EXPECT_EQ(paper.exit_code, 0) << paper.output;
+  EXPECT_NE(paper.output.find("Qwen2-MoE structure"), std::string::npos) << paper.output;
+
+  const CliResult unknown = RunCli("serve NoSuchModel synthetic:4");
+  EXPECT_EQ(unknown.exit_code, 2) << unknown.output;
+  EXPECT_NE(unknown.output.find("unknown model: NoSuchModel"), std::string::npos)
+      << unknown.output;
+  EXPECT_NE(unknown.output.find("Mixtral-8x7B"), std::string::npos) << unknown.output;
+}
+
 TEST(CliTest, RuntimeFailuresExitOneNotTwo) {
   REQUIRE_CLI();
   // The flags are all valid; the filesystem is not. Exit 1, not 2.
